@@ -9,9 +9,11 @@ decompositions conserve exactly — any divergence raises
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..analyze import verify_program
 from ..cpu.config import ProcessorConfig
@@ -170,6 +172,25 @@ def _simulate(
     return stats, machine, report
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Disable automatic cyclic garbage collection for the block and
+    restore the previous state on exit, also when the block raises.
+
+    Simulation allocates millions of short-lived tracked objects, and
+    each automatic full collection rescans everything a
+    :class:`RunCache` keeps alive (hundreds of milliseconds per pass
+    late in a grid).  Per-program state is acyclic (DESIGN.md §8), so
+    reference counting alone frees it and pausing loses nothing."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 @dataclass
 class RunCache:
     """Builds (program construction is expensive for the codecs) and
@@ -214,25 +235,26 @@ class RunCache:
         mem_config: MemoryConfig,
         checkpoint=None,
     ) -> ExecutionStats:
-        built = self.built(name, variant)
-        key = (name, variant)
-        stats, machine = simulate_program(
-            built.program, cpu_config, mem_config,
-            benchmark=f"{name}[{variant.value}]",
-            machine=self._machines.get(key),
-            audit=self.audit,
-            max_steps=self.max_steps,
-            max_cycles=self.max_cycles,
-            lint=self.lint,
-            lint_memo_dir=self.lint_memo_dir,
-            checkpoint=checkpoint,
-            engine=self.engine,
-        )
-        self._machines[key] = machine
-        if self.validate and not self._validated.get(key):
-            built.validate(machine)
-            self._validated[key] = True
-        return stats
+        with collector_paused():
+            built = self.built(name, variant)
+            key = (name, variant)
+            stats, machine = simulate_program(
+                built.program, cpu_config, mem_config,
+                benchmark=f"{name}[{variant.value}]",
+                machine=self._machines.get(key),
+                audit=self.audit,
+                max_steps=self.max_steps,
+                max_cycles=self.max_cycles,
+                lint=self.lint,
+                lint_memo_dir=self.lint_memo_dir,
+                checkpoint=checkpoint,
+                engine=self.engine,
+            )
+            self._machines[key] = machine
+            if self.validate and not self._validated.get(key):
+                built.validate(machine)
+                self._validated[key] = True
+            return stats
 
     def run_points(self, points) -> list:
         """Serial point-running protocol (see

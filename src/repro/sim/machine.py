@@ -74,6 +74,9 @@ class Machine:
         self.run_pc = 0
         self.run_executed = 0
         self._events: List[Event] = []
+        #: bounds checker shared by every decoded closure; it closes over
+        #: the memory size only, so the closures never reference ``self``
+        self._check_addr = _addr_checker(self.memory_size)
         self._code = self._build_code()
         self.reset()
 
@@ -275,15 +278,14 @@ class Machine:
 
     # -- decode -----------------------------------------------------------------------
 
-    def _check_addr(self, addr: int, size: int) -> None:
-        if addr < 0 or addr + size > self.memory_size:
-            raise SimulationError(
-                f"memory access out of range: addr=0x{addr:x} size={size} "
-                f"(memory is {self.memory_size} bytes)"
-            )
-
     def _decode(self, instr, idx: int):
-        """Compile one static instruction to a closure returning next PC."""
+        """Compile one static instruction to a closure returning next PC.
+
+        The closures capture the machine's state containers (``regs``,
+        ``memory``, the event list), never the machine itself: a machine
+        is then free of reference cycles and is reclaimed by reference
+        counting the moment its last owner drops it (DESIGN.md §8).
+        """
         regs = self.regs
         mem = self.memory
         events = self._events
@@ -295,6 +297,7 @@ class Machine:
         target = instr.target
         nxt = idx + 1
         check = self._check_addr
+        memory_size = self.memory_size
 
         # ---- integer ALU -------------------------------------------------
         if op in _INT_BINOPS:
@@ -418,7 +421,7 @@ class Machine:
                 addr = regs[base] + off
                 # Non-binding and non-faulting: out-of-range prefetches
                 # are dropped, as on real hardware.
-                if 0 <= addr < self.memory_size:
+                if 0 <= addr < memory_size:
                     append((idx, addr))
                 else:
                     append((idx, 0))
@@ -591,6 +594,20 @@ class Machine:
 # ---------------------------------------------------------------------------
 # Operation tables used by the decoder.
 # ---------------------------------------------------------------------------
+
+
+def _addr_checker(memory_size: int):
+    """The decoded closures' bounds check for a memory of ``memory_size``
+    bytes: raises :class:`SimulationError` on an out-of-range access."""
+
+    def check(addr: int, size: int) -> None:
+        if addr < 0 or addr + size > memory_size:
+            raise SimulationError(
+                f"memory access out of range: addr=0x{addr:x} size={size} "
+                f"(memory is {memory_size} bytes)"
+            )
+
+    return check
 
 
 def _div_trunc(a: int, b: int) -> int:

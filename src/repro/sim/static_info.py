@@ -70,7 +70,6 @@ class StaticProgramInfo:
     """Flattened static metadata, one entry per static instruction."""
 
     def __init__(self, program: Program) -> None:
-        self.program = program
         n = len(program.instructions)
         self.kind: List[int] = [0] * n
         self.fu: List[int] = [0] * n

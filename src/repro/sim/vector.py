@@ -47,6 +47,7 @@ enforces them bit-for-bit against the scalar engine.
 from __future__ import annotations
 
 import os
+import weakref
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -213,21 +214,23 @@ class VectorMachine(Machine):
 
     def _build_code(self) -> List:
         """Per-instruction trampolines: decode on first execution, then
-        self-replace in the code table.  Cold code never pays decode."""
-        code: List = []
-        decode = self._decode
+        self-replace in the code table.  Cold code never pays decode.
+
+        A trampoline reaches the machine (and through it the code table)
+        by weak reference, so the table holds no reference cycle."""
+        machine = weakref.ref(self)
         instructions = self.program.instructions
 
         def make(idx: int):
             def trampoline():
-                fn = decode(instructions[idx], idx)
-                code[idx] = fn
+                m = machine()
+                fn = m._decode(instructions[idx], idx)
+                m._code[idx] = fn
                 return fn()
 
             return trampoline
 
-        code.extend(make(i) for i in range(len(instructions)))
-        return code
+        return [make(i) for i in range(len(instructions))]
 
     # -- block discovery ---------------------------------------------------
 
@@ -469,7 +472,9 @@ class VectorMachine(Machine):
         ns["_ap_"] = self._events.append
         ns["_ex_"] = self._events.extend
         exec(src, ns)
-        return ns["_blk"]
+        # ``ns`` is the block's ``__globals__``: leaving the block in it
+        # would make every compiled block a reference cycle.
+        return ns.pop("_blk")
 
     # -- snapshot interaction ----------------------------------------------
 
